@@ -179,8 +179,21 @@ class IterationPlan:
         return simulate(build_iteration_graph(self.to_spec(), phase=phase))
 
     def makespan_ms(self, phase: str = "both") -> float:
-        """Simulated duration of the planned iteration (or one phase)."""
-        return self.simulate(phase=phase).makespan_ms
+        """Simulated duration of the planned iteration (or one phase).
+
+        Computed once per plan object and ``phase``: the first call
+        simulates, later calls return the stored float.  The memo lives
+        in the instance ``__dict__``, not in a field, so it takes no
+        part in ``==``, ``hash``, ``repr`` or the plan document, and it
+        cannot go stale because every component of a plan is immutable.
+        Plans are shared between service worker threads and the serving
+        loop: two threads racing on an empty memo may both simulate,
+        and both store the same deterministic value.
+        """
+        memo = self.__dict__.setdefault("_makespan_memo", {})
+        if phase not in memo:
+            memo[phase] = self.simulate(phase=phase).makespan_ms
+        return memo[phase]
 
     # -- serialization -------------------------------------------------------
 

@@ -64,3 +64,23 @@ def small_spec(parallel_b):
 def profile_b(small_spec, parallel_b, models_b):
     """Layer profile of the small spec on Testbed B."""
     return profile_layer(small_spec, parallel_b, models_b)
+
+
+@pytest.fixture()
+def sim_calls(monkeypatch):
+    """Count the discrete-event runs behind ``IterationPlan.simulate``.
+
+    Returns a list that grows by one entry per simulation, from any
+    thread, for the duration of the test.
+    """
+    import repro.planner.plan as plan_module
+
+    calls: list[None] = []
+    real = plan_module.simulate
+
+    def counting(graph):
+        calls.append(None)
+        return real(graph)
+
+    monkeypatch.setattr(plan_module, "simulate", counting)
+    return calls

@@ -21,6 +21,7 @@ import pytest
 from repro import (
     Backoff,
     ConfigError,
+    IterationPlan,
     NetClient,
     NetServer,
     ProtocolError,
@@ -252,6 +253,30 @@ class TestProtocolConformance:
             assert response["plan"] == direct.to_dict()
         finally:
             client.close()
+
+    def test_repeat_summaries_simulate_once(self, tmp_path, sim_calls):
+        """A plan's makespan is simulated for its first summary only;
+        repeats, mixed with full-plan answers, read the memo."""
+        workspace = Workspace(tmp_path / "ws")
+        with NetServer(workspace, flush_ms=1.0) as srv:
+            client = NetClient(srv.address)
+            try:
+                makespans = []
+                documents = []
+                for index in range(12):
+                    if index % 3 == 2:
+                        response = client.plan(TINY_PAYLOAD, detail="plan")
+                        documents.append(response["plan"])
+                    else:
+                        response = client.plan(TINY_PAYLOAD)
+                        makespans.append(response["result"]["makespan_ms"])
+            finally:
+                client.close()
+        assert len(sim_calls) == 1
+        assert len(makespans) == 8 and len(set(makespans)) == 1
+        assert all(doc == documents[0] for doc in documents)
+        replayed = IterationPlan.from_dict(documents[0])
+        assert replayed.simulate().makespan_ms == makespans[0]
 
     def test_impossible_plan_is_plan_failed_not_a_crash(self, server):
         client = NetClient(server.address)

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+import sys
+import threading
+
 import pytest
 
 from repro.core.schedules import GarMode, GarPlacement
@@ -108,6 +114,106 @@ class TestJsonRoundTrip:
             + replayed.gar.tail_bytes
         )
         assert placed == pytest.approx(sum(plan.grad_bytes))
+
+
+@pytest.fixture(scope="module")
+def memo_base(compiler, small_spec):
+    """A compiled adaptive-GAR plan; tests take fresh copies of it."""
+    return compiler.compile([small_spec] * 2, FSMoE())
+
+
+@pytest.fixture()
+def fresh_plan(memo_base):
+    """An equal plan object whose makespan memo is still empty."""
+    return IterationPlan.from_json(memo_base.to_json())
+
+
+class TestMakespanMemo:
+    def test_second_call_runs_no_simulation(self, fresh_plan, sim_calls):
+        first = fresh_plan.makespan_ms()
+        assert len(sim_calls) == 1
+        assert fresh_plan.makespan_ms() == first
+        assert len(sim_calls) == 1
+
+    def test_phases_are_memoized_independently(self, fresh_plan, sim_calls):
+        phases = ("forward", "backward", "both")
+        values = {phase: fresh_plan.makespan_ms(phase) for phase in phases}
+        assert len(sim_calls) == 3
+        assert len(set(values.values())) == 3
+        for phase in phases:
+            assert fresh_plan.makespan_ms(phase) == values[phase]
+        assert len(sim_calls) == 3
+        for phase in phases:
+            # bit for bit, not approx
+            assert values[phase] == fresh_plan.simulate(phase).makespan_ms
+
+    def test_memo_is_invisible_to_identity_and_document(self, fresh_plan):
+        before = (
+            hash(fresh_plan),
+            repr(fresh_plan),
+            fresh_plan.to_dict(),
+            fresh_plan.to_json(),
+        )
+        twin = IterationPlan.from_json(fresh_plan.to_json())
+        fresh_plan.makespan_ms()
+        fresh_plan.makespan_ms("forward")
+        assert fresh_plan == twin
+        after = (
+            hash(fresh_plan),
+            repr(fresh_plan),
+            fresh_plan.to_dict(),
+            fresh_plan.to_json(),
+        )
+        assert after == before
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [
+            lambda plan: IterationPlan.from_json(plan.to_json()),
+            copy.deepcopy,
+            lambda plan: pickle.loads(pickle.dumps(plan)),
+        ],
+        ids=["json", "deepcopy", "pickle"],
+    )
+    def test_round_trips_keep_the_makespan(self, fresh_plan, round_trip):
+        expected = fresh_plan.makespan_ms()
+        again = round_trip(fresh_plan)
+        assert again == fresh_plan
+        assert again.makespan_ms() == expected
+        assert again.simulate().makespan_ms == expected
+
+    def test_plan_stays_frozen(self, fresh_plan):
+        fresh_plan.makespan_ms()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fresh_plan.name = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fresh_plan._makespan_memo = {}
+
+    def test_concurrent_first_calls_agree(self, fresh_plan, memo_base):
+        expected = memo_base.simulate().makespan_ms
+        barrier = threading.Barrier(8)
+        results: list[float] = []
+        lock = threading.Lock()
+
+        def worker() -> None:
+            barrier.wait(timeout=30.0)
+            value = fresh_plan.makespan_ms()
+            with lock:
+                results.append(value)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 8
+        assert fresh_plan.makespan_ms() == expected
 
 
 class TestGarPlacement:

@@ -70,6 +70,18 @@ class TestWorkspaceBasics:
         assert after.plan_hits == before.plan_hits + 2
         assert after.profiles.misses == before.profiles.misses
 
+    def test_same_session_rerun_runs_no_simulation(self, tmp_path, sim_calls):
+        ws = Workspace(tmp_path / "ws")
+        cold = ws.sweep(tiny_spec())
+        simulated = len(sim_calls)
+        before = ws.stats
+        warm = ws.sweep(tiny_spec())
+        assert ws.stats.since(before).cache.l1.hits == 2
+        assert len(sim_calls) == simulated
+        assert [p.makespan_ms for p in warm.points] == [
+            p.makespan_ms for p in cold.points
+        ]
+
     def test_warm_reopen_is_fully_cached(self, tmp_path):
         root = tmp_path / "ws"
         cold = Workspace(root).sweep(tiny_spec())
