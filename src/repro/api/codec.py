@@ -21,7 +21,8 @@ genuinely hits.
 
 :func:`digest` canonicalizes an encoded value (sorted keys, no
 whitespace) and hashes it -- the content address used for on-disk plan
-cache filenames.
+cache filenames; :func:`digest_canonical` hashes canonical text a caller
+already built.
 """
 
 from __future__ import annotations
@@ -140,5 +141,10 @@ def canonical_json(encoded: object) -> str:
 
 def digest(encoded: object) -> str:
     """Content address of an encoded value (sha256 hex, truncated)."""
-    text = canonical_json(encoded)
+    return digest_canonical(canonical_json(encoded))
+
+
+def digest_canonical(text: str) -> str:
+    """:func:`digest` of a value whose :func:`canonical_json` text is
+    already at hand -- callers that keep the text skip a second dump."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]

@@ -74,7 +74,7 @@ from ..planner.compiler import PlanCompiler
 from ..planner.plan import IterationPlan
 from ..planner.store import ProfileStore, StoreStats
 from ..systems.base import TrainingSystem
-from .codec import canonical_json, decode, digest, encode
+from .codec import canonical_json, decode, digest, digest_canonical, encode
 from .spec import ExperimentSpec
 
 if TYPE_CHECKING:  # imported lazily at runtime: serve sits above api
@@ -201,11 +201,31 @@ def _resolve_tracer(
     return Tracer(trace)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (same-directory temp file)."""
+def _atomic_write(path: Path, text: str) -> os.stat_result:
+    """Write ``text`` to ``path`` atomically (same-directory temp file).
+
+    Returns the written file's stat (the rename keeps its inode, mtime
+    and size), so a writer can later tell its own file from a foreign
+    replacement.
+    """
     tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
     tmp.write_text(text)
+    written = os.stat(tmp)
     os.replace(tmp, path)
+    return written
+
+
+def _signature(stat: os.stat_result) -> tuple[int, int, int]:
+    """Identity of one file version: ``(inode, mtime_ns, size)``."""
+    return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+
+
+def _file_signature(path: Path) -> tuple[int, int, int] | None:
+    """:func:`_signature` of ``path`` now, or None when it is missing."""
+    try:
+        return _signature(os.stat(path))
+    except OSError:
+        return None
 
 
 def _quarantine(path: Path) -> None:
@@ -329,6 +349,11 @@ class Workspace:
         self._l2c = _TierCounters()
         self._l3c = _TierCounters()
         self._prc = _TierCounters()  # profile store's remote traffic
+        # What this session last wrote to profiles.json: every entry's
+        # (value, JSON text) in file order, and the written file's
+        # signature.  Guarded by ``_io_lock``.
+        self._saved_entries: dict[object, tuple[object, str | None]] = {}
+        self._saved_signature: tuple[int, int, int] | None = None
         self.store = ProfileStore()
         self._bind_store_remote()
         self._load_profiles()
@@ -401,8 +426,8 @@ class Workspace:
         refused (treated as a miss), never returned.
         """
         try:
-            key_obj = encode(("profile", full_key))
-            text = self._remote.get(digest(key_obj))
+            key_json = canonical_json(encode(("profile", full_key)))
+            text = self._remote.get(digest_canonical(key_json))
         except Exception:  # noqa: BLE001 - tier must never raise
             with self._counter_lock:
                 self._prc.errors += 1
@@ -416,7 +441,7 @@ class Workspace:
             data = json.loads(text)
             if data["schema_version"] != WORKSPACE_SCHEMA_VERSION:
                 raise ValueError("cross-version remote profile")
-            if canonical_json(data["key"]) != canonical_json(key_obj):
+            if canonical_json(data["key"]) != key_json:
                 raise ValueError("remote profile key mismatch")
             value = decode(data["value"])
         except Exception:  # noqa: BLE001 - refuse, don't misread
@@ -462,20 +487,53 @@ class Workspace:
         (this session's entries win any key collision, though collisions
         are value-identical by construction: profiling is deterministic
         in its key).
+
+        The rewrite is incremental.  Each entry's JSON text is kept from
+        the last save, so a profile is encoded once per session, and the
+        file is re-read only when its signature (inode, mtime, size) no
+        longer matches this session's last write: another writer replaced
+        it (every cooperating writer renames a new file into place), or
+        it was edited in place or deleted.  The bytes written are those
+        of a full re-encode of the merged entries.
         """
         with self._io_lock, self._workspace_lock():
-            data = self._read_profiles_file()
-            merged = self._decode_entries(data) if data is not None else {}
-            merged.update(self.store.entries())
-            entries = [
-                {"k": encode(key), "v": encode(value)}
-                for key, value in merged.items()
-            ]
-            payload = {
-                "schema_version": WORKSPACE_SCHEMA_VERSION,
-                "entries": entries,
-            }
-            _atomic_write(self.profiles_path, json.dumps(payload))
+            path = self.profiles_path
+            entries = previous = self._saved_entries
+            if (
+                self._saved_signature is None
+                or _file_signature(path) != self._saved_signature
+            ):
+                data = self._read_profiles_file()
+                merged = self._decode_entries(data) if data is not None else {}
+                entries = {key: (value, None) for key, value in merged.items()}
+            # Same order and collision rule as ``merged.update(store)``.
+            # A text is reused only for the very value object it encodes.
+            for key, value in self.store.entries().items():
+                held = entries.get(key)
+                if held is not None and held[0] is value:
+                    continue
+                held = previous.get(key)
+                if held is None or held[0] is not value:
+                    held = (value, None)
+                entries[key] = held
+            texts = []
+            for key, (value, text) in list(entries.items()):
+                if text is None:
+                    text = json.dumps({"k": encode(key), "v": encode(value)})
+                    entries[key] = (value, text)
+                texts.append(text)
+            # Byte-identical to json.dumps({"schema_version": ...,
+            # "entries": [...]}) with the default separators.
+            document = (
+                '{"schema_version": '
+                + json.dumps(WORKSPACE_SCHEMA_VERSION)
+                + ', "entries": ['
+                + ", ".join(texts)
+                + "]}"
+            )
+            written = _atomic_write(path, document)
+            self._saved_entries = entries
+            self._saved_signature = _signature(written)
 
     # -- stats ---------------------------------------------------------------
 
@@ -554,6 +612,8 @@ class Workspace:
         """
         with self._io_lock:
             self.discard(self.root)
+            self._saved_entries = {}
+            self._saved_signature = None
         if self._l1 is not None:
             self._l1.clear(reset_stats=True)
         with self._counter_lock:
@@ -994,7 +1054,7 @@ class Workspace:
             routing_overhead, include_gar, noise, seed,
         )
         key_json = canonical_json(key)
-        dig = digest(key)
+        dig = digest_canonical(key_json)
 
         tracer = self._tracer
         if tracer is None:

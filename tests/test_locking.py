@@ -178,12 +178,15 @@ class TestMultiProcessWorkspace:
         entries_after_first = len(Workspace(root).store)
 
         # second session, opened BEFORE first's last save, fits another
-        # spec and saves; both sessions' entries must survive
+        # spec and saves; both sessions' entries must survive.  The stale
+        # session saves on each side of that foreign write: once while
+        # it is still the last writer, once after.
         second = Workspace(root)
         spec_b = MoELayerSpec(
             batch_size=1, seq_len=512, embed_dim=512,
             num_experts=8, num_heads=8,
         )
+        first.save()
         second.plan((spec_b,), get_system("tutel"), testbed_b())
         first.save()  # re-save stale session: must not clobber spec_b
 
