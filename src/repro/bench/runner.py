@@ -183,9 +183,9 @@ def evaluate_model(
         overhead = 1.0
         if routing_overhead_by_system is not None:
             overhead = routing_overhead_by_system.get(system.name, 1.0)
-        times[system.name] = compiler.simulate(
+        times[system.name] = compiler.compile(
             stack, system, gate_kind=gate_kind, routing_overhead=overhead
-        ).makespan_ms
+        ).makespan_ms()
     return ConfigResult(spec=spec, parallel=parallel, times_ms=times)
 
 

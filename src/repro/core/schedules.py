@@ -352,13 +352,17 @@ def build_iteration_graph(spec: IterationSpec, phase: str = "both") -> TaskGraph
     # ---- backward ---------------------------------------------------------
     dense_bw_ids: dict[int, int] = {}
     gar_seq = 0
+    # ``moe_ar_bytes`` rebuilds its tuple on every access: read it once.
+    moe_ar_bytes = (
+        spec.plan.moe_ar_bytes if spec.gar_mode is GarMode.ADAPTIVE else ()
+    )
     for l in reversed(range(n_l)):
         layer = spec.backward[l]
         gar_slice_ms = 0.0
         gar_extra: tuple[int, ...] = ()
         if spec.gar_mode is GarMode.ADAPTIVE:
             assert spec.plan is not None  # validated in IterationSpec
-            if spec.plan.moe_ar_bytes[l] > 0:
+            if moe_ar_bytes[l] > 0:
                 gar_slice_ms = spec.plan.t_gar_ms[l]
                 if l + 1 in dense_bw_ids:
                     gar_extra = (dense_bw_ids[l + 1],)

@@ -261,9 +261,8 @@ class PlanCompiler:
         phase: str = "both",
     ) -> float:
         """Simulated makespan of one iteration of ``stack``."""
-        return self.simulate(
-            stack, system, gate_kind=gate_kind, phase=phase
-        ).makespan_ms
+        plan = self.compile(stack, system, gate_kind=gate_kind)
+        return plan.makespan_ms(phase)
 
     # -- AlltoAll algorithm choice -------------------------------------------
 

@@ -33,7 +33,7 @@ from ..core.schedules import (
     build_iteration_graph,
 )
 from ..errors import ScheduleError
-from ..sim.engine import simulate
+from ..sim.engine import makespan, simulate
 from ..sim.timeline import Timeline
 
 #: current serialization format version.
@@ -181,18 +181,21 @@ class IterationPlan:
     def makespan_ms(self, phase: str = "both") -> float:
         """Simulated duration of the planned iteration (or one phase).
 
-        Computed once per plan object and ``phase``: the first call
-        simulates, later calls return the stored float.  The memo lives
-        in the instance ``__dict__``, not in a field, so it takes no
-        part in ``==``, ``hash``, ``repr`` or the plan document, and it
-        cannot go stale because every component of a plan is immutable.
+        Computed once per plan object and ``phase``: the first call runs
+        :func:`repro.sim.makespan` (no :class:`Timeline` is built), later
+        calls return the stored float.  The memo lives in the instance
+        ``__dict__``, not in a field, so it takes no part in ``==``,
+        ``hash``, ``repr`` or the plan document, and it cannot go stale
+        because every component of a plan is immutable.
         Plans are shared between service worker threads and the serving
         loop: two threads racing on an empty memo may both simulate,
         and both store the same deterministic value.
         """
         memo = self.__dict__.setdefault("_makespan_memo", {})
         if phase not in memo:
-            memo[phase] = self.simulate(phase=phase).makespan_ms
+            memo[phase] = makespan(
+                build_iteration_graph(self.to_spec(), phase=phase)
+            )
         return memo[phase]
 
     # -- serialization -------------------------------------------------------

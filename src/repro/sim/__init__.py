@@ -8,13 +8,14 @@ schedules (Fig. 3/4: "Stream a/b/c").
 
 * :mod:`~repro.sim.events`   -- :class:`Task`, :class:`TaskKind`,
   :class:`TaskGraph`;
-* :mod:`~repro.sim.engine`   -- the list-scheduling event loop;
+* :mod:`~repro.sim.engine`   -- the list-scheduling event loop behind
+  :func:`simulate` (full trace) and :func:`makespan` (finish time only);
 * :mod:`~repro.sim.timeline` -- execution traces, utilization stats and
   ASCII Gantt rendering.
 """
 
 from .events import Task, TaskKind, TaskGraph
-from .engine import simulate
+from .engine import makespan, simulate
 from .timeline import Timeline, TaskRecord
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "TaskKind",
     "TaskGraph",
     "simulate",
+    "makespan",
     "Timeline",
     "TaskRecord",
 ]

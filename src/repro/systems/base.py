@@ -9,7 +9,7 @@ from ..core.perf_model import PerfModelSet
 from ..core.pipeline_degree import DEFAULT_MAX_DEGREE
 from ..core.schedules import IterationSpec, build_iteration_graph
 from ..models.transformer import LayerProfile
-from ..sim.engine import simulate
+from ..sim.engine import makespan, simulate
 from ..sim.timeline import Timeline
 
 
@@ -101,7 +101,7 @@ class TrainingSystem(abc.ABC):
     ) -> float:
         """Simulated makespan of one iteration (or one phase)."""
         spec = self.build_iteration_spec(profiles, models, include_gar)
-        return simulate(build_iteration_graph(spec, phase=phase)).makespan_ms
+        return makespan(build_iteration_graph(spec, phase=phase))
 
     def timeline(
         self,

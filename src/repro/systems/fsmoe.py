@@ -40,7 +40,7 @@ from ..core.schedules import (
 )
 from ..errors import SolverError
 from ..models.transformer import LayerProfile
-from ..sim.engine import simulate
+from ..sim.engine import makespan
 from .base import TrainingSystem
 
 
@@ -271,7 +271,7 @@ def _merged_phase_degree_sim(
             streams=TWO_STREAM,
             gar_mode=GarMode.END,
         )
-        t = simulate(build_iteration_graph(spec, phase=phase)).makespan_ms
+        t = makespan(build_iteration_graph(spec, phase=phase))
         if t < best_t - 1e-12:
             best_t = t
             best_r = r

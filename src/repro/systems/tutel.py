@@ -27,7 +27,7 @@ from ..core.schedules import (
     build_iteration_graph,
 )
 from ..models.transformer import LayerProfile
-from ..sim.engine import simulate
+from ..sim.engine import makespan
 from .base import TrainingSystem
 
 
@@ -71,7 +71,7 @@ def _oracle_degree_sim(
         spec = _pipemoe_spec(
             profiles, models, r, GarMode.END, include_gar, name="sweep"
         )
-        t = simulate(build_iteration_graph(spec)).makespan_ms
+        t = makespan(build_iteration_graph(spec))
         if t < best_t - 1e-12:
             best_t = t
             best_r = r

@@ -68,19 +68,27 @@ def profile_b(small_spec, parallel_b, models_b):
 
 @pytest.fixture()
 def sim_calls(monkeypatch):
-    """Count the discrete-event runs behind ``IterationPlan.simulate``.
+    """Count the discrete-event runs behind ``IterationPlan``.
 
-    Returns a list that grows by one entry per simulation, from any
-    thread, for the duration of the test.
+    Both engine entry points the plan calls are counted:
+    ``IterationPlan.simulate`` runs ``simulate`` and
+    ``IterationPlan.makespan_ms`` runs ``makespan``.  Returns a list
+    that grows by one entry per engine run, from any thread, for the
+    duration of the test.
     """
     import repro.planner.plan as plan_module
 
     calls: list[None] = []
-    real = plan_module.simulate
 
-    def counting(graph):
-        calls.append(None)
-        return real(graph)
+    def counting(real):
+        def run(graph):
+            calls.append(None)
+            return real(graph)
 
-    monkeypatch.setattr(plan_module, "simulate", counting)
+        return run
+
+    for name in ("simulate", "makespan"):
+        monkeypatch.setattr(
+            plan_module, name, counting(getattr(plan_module, name))
+        )
     return calls

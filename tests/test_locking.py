@@ -64,22 +64,23 @@ class TestFileLock:
             "lock.release()\n"
             "print('released', flush=True)\n"
         )
-        proc = subprocess.Popen(
+        # The with block closes the stdout pipe when the test ends.
+        with subprocess.Popen(
             [sys.executable, "-c", script],
             stdout=subprocess.PIPE,
             text=True,
-        )
-        try:
-            assert proc.stdout.readline().strip() == "locked"
-            contender = FileLock(path, timeout_s=0.2, poll_s=0.01)
-            with pytest.raises(LockTimeout):
-                contender.acquire()
-            # and once the subprocess lets go, acquisition succeeds
-            patient = FileLock(path, timeout_s=10.0, poll_s=0.01)
-            with patient:
-                assert patient.held
-        finally:
-            proc.wait(timeout=30)
+        ) as proc:
+            try:
+                assert proc.stdout.readline().strip() == "locked"
+                contender = FileLock(path, timeout_s=0.2, poll_s=0.01)
+                with pytest.raises(LockTimeout):
+                    contender.acquire()
+                # and once the subprocess lets go, acquisition succeeds
+                patient = FileLock(path, timeout_s=10.0, poll_s=0.01)
+                with patient:
+                    assert patient.held
+            finally:
+                proc.wait(timeout=30)
 
 
 def _hammer_script(root: Path, worker: int, rounds: int) -> str:
